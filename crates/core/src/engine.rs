@@ -62,10 +62,10 @@ pub enum StepOp {
     Migrate,
     /// Final top-k ranking (always CPU, per the Fig. 7 finding).
     TopK,
-    /// Whole-query execution on a single processor. The non-hybrid modes
-    /// run opaquely on one engine, so their trace is this coarse step
-    /// (plus the CPU ranking step for [`ExecMode::GpuOnly`]) rather than
-    /// per-operation detail.
+    /// A whole operator run opaquely on one processor: a chain under
+    /// [`ExecMode::GpuOnly`] (or its CPU fallback), or a pruned chain
+    /// with its ranking. Under [`ExecMode::CpuOnly`] the entire query is
+    /// this single host step.
     Exec,
     /// Recovery from a device fault: the wasted GPU attempts (including
     /// retry backoff) plus the cost of re-establishing the intermediate
@@ -95,9 +95,11 @@ pub struct GriffinOutput {
     pub topk: Vec<(u32, f32)>,
     /// End-to-end virtual latency.
     pub time: VirtualNanos,
-    /// Per-operation trace. Hybrid queries record every operation;
-    /// the single-processor modes record coarse [`StepOp::Exec`] (and
-    /// ranking) steps. In every mode the step durations sum exactly to
+    /// Per-operation trace. Hybrid queries record every chain step;
+    /// GpuOnly records one [`StepOp::Exec`] step per chain; both record
+    /// each host set operator and the final [`StepOp::TopK`]. CpuOnly
+    /// records the whole query as one [`StepOp::Exec`] step. In every
+    /// mode the step durations sum exactly to
     /// [`GriffinOutput::time`], which is what lets the serving pipeline
     /// replay any query's schedule stage by stage.
     pub steps: Vec<StepTrace>,
@@ -114,9 +116,9 @@ pub struct GriffinOutput {
     /// [`gpu_faults`](Self::gpu_faults), which counts every hiccup.
     pub gpu_abandoned: bool,
     /// Block-max pruning ledger, present when the query ran with
-    /// [`QueryRequest::pruned`] set and took a pruned path. `None` for
-    /// unpruned runs (and for query shapes the pruned path does not
-    /// cover, which fall back to unpruned execution).
+    /// [`QueryRequest::pruned`] set and its plan is a single chain.
+    /// `None` for unpruned runs (and for other plan shapes, which run
+    /// unpruned).
     pub pruning: Option<PruneStats>,
     /// Fleet coverage accounting, present only when the answer came
     /// through a scatter–gather coordinator (see [`crate::fleet`]). A
@@ -180,9 +182,19 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// Per-query fault bookkeeping.
-#[derive(Default)]
-struct FaultLog {
+/// One query's execution state, threaded through every operator of the
+/// executor: the step trace with its running total, plus the fault
+/// bookkeeping.
+struct Run {
+    mode: ExecMode,
+    /// Host work not yet priced. [`ExecMode::CpuOnly`] accumulates the
+    /// whole query here — top-k included — and prices it once, as a
+    /// single [`StepOp::Exec`] step: the CPU cost model's
+    /// `max(compute, memory)` does not add up across steps. `None` in the
+    /// GPU-capable modes, which price each host operator as its own step.
+    unpriced: Option<WorkCounters>,
+    steps: Vec<StepTrace>,
+    total: VirtualNanos,
     /// Every failed GPU attempt, including retried ones.
     faults: u32,
     /// Latched once a fault exhausts its retries: the rest of the query
@@ -191,6 +203,18 @@ struct FaultLog {
     gpu_disabled: bool,
 }
 
+impl Run {
+    fn new(mode: ExecMode) -> Run {
+        Run {
+            mode,
+            unpriced: (mode == ExecMode::CpuOnly).then(WorkCounters::default),
+            steps: Vec::new(),
+            total: VirtualNanos::ZERO,
+            faults: 0,
+            gpu_disabled: false,
+        }
+    }
+}
 /// The Griffin system: CPU engine + Griffin-GPU engine + scheduler.
 pub struct Griffin<'g> {
     pub cpu: CpuEngine,
@@ -466,23 +490,14 @@ impl<'g> Griffin<'g> {
         let time = hit.time.min(RESULT_CACHE_LOOKUP);
         self.telemetry
             .counter_add("griffin_result_cache_served_total", 1);
-        let steps = if time > VirtualNanos::ZERO {
-            vec![StepTrace {
-                op: StepOp::Exec,
-                proc: Proc::Cpu,
-                time,
-                inter_len: hit.topk.len(),
-            }]
-        } else {
-            Vec::new()
-        };
-        for s in &steps {
-            self.record_step(s);
+        let mut run = Run::new(req.mode);
+        if time > VirtualNanos::ZERO {
+            self.push_step(&mut run, StepOp::Exec, Proc::Cpu, time, hit.topk.len());
         }
         Some(GriffinOutput {
             topk: hit.topk,
             time,
-            steps,
+            steps: run.steps,
             gpu_faults: 0,
             gpu_abandoned: false,
             pruning: None,
@@ -607,11 +622,11 @@ impl<'g> Griffin<'g> {
     /// Runs a GPU operation under the recovery policy: transient faults
     /// are retried with exponential virtual-time backoff; a fault that
     /// survives every retry (or a non-transient one) latches
-    /// [`FaultLog::gpu_disabled`] and surfaces the error for the caller
-    /// to migrate the work to the CPU.
+    /// [`Run::gpu_disabled`] and surfaces the error for the caller to
+    /// migrate the work to the CPU.
     fn try_gpu<T>(
         &self,
-        log: &mut FaultLog,
+        run: &mut Run,
         mut attempt: impl FnMut() -> Result<T, GpuError>,
     ) -> Result<T, GpuError> {
         let mut backoff = self.recovery.initial_backoff;
@@ -620,7 +635,7 @@ impl<'g> Griffin<'g> {
             match attempt() {
                 Ok(v) => return Ok(v),
                 Err(e) => {
-                    log.faults += 1;
+                    run.faults += 1;
                     self.telemetry.counter_add(
                         &format!(
                             "griffin_fault_gpu_errors_total{{kind=\"{}\"}}",
@@ -635,9 +650,47 @@ impl<'g> Griffin<'g> {
                         backoff = backoff * self.recovery.backoff_multiplier;
                         continue;
                     }
-                    log.gpu_disabled = true;
+                    run.gpu_disabled = true;
                     return Err(e);
                 }
+            }
+        }
+    }
+
+    /// Runs a whole operator on the device under the recovery policy.
+    /// Every attempt closes its span with a full device sync, so the step
+    /// covers all the transfers and kernels it issued — including a
+    /// prefetch still in flight when a chain ends early on an empty
+    /// intermediate. Success records one GPU [`StepOp::Exec`] step. An
+    /// exhausted fault records the wasted attempts as a
+    /// [`StepOp::FaultRecovery`] step and returns `None`, as does a
+    /// device already disabled for this query: the caller then runs the
+    /// operator on the CPU.
+    fn gpu_or_cpu<T>(
+        &self,
+        run: &mut Run,
+        mut attempt: impl FnMut() -> Result<T, GpuError>,
+        len: impl Fn(&T) -> usize,
+    ) -> Option<T> {
+        if run.gpu_disabled {
+            return None;
+        }
+        let start = self.device.now();
+        let result = self.try_gpu(run, || {
+            let r = attempt();
+            self.gpu.drain_prefetch();
+            self.device.sync();
+            r
+        });
+        let t = self.device.now() - start;
+        match result {
+            Ok(v) => {
+                self.push_step(run, StepOp::Exec, Proc::Gpu, t, len(&v));
+                Some(v)
+            }
+            Err(_) => {
+                self.push_recovery_step(run, t, 0);
+                None
             }
         }
     }
@@ -678,7 +731,7 @@ impl<'g> Griffin<'g> {
     /// the virtual time the recovery cost.
     fn salvage(
         &self,
-        log: &mut FaultLog,
+        run: &mut Run,
         index: &InvertedIndex,
         planned: &[TermId],
         completed: usize,
@@ -687,7 +740,7 @@ impl<'g> Griffin<'g> {
         let mut spent = VirtualNanos::ZERO;
         if let Some(dev) = dev {
             let start = self.device.now();
-            let drained = self.try_gpu(log, || self.gpu.download(&dev));
+            let drained = self.try_gpu(run, || self.gpu.download(&dev));
             dev.free(self.device);
             spent += self.device.now() - start;
             if let Ok(host) = drained {
@@ -700,26 +753,59 @@ impl<'g> Griffin<'g> {
         (host, spent + self.cpu.model.time(&w))
     }
 
-    /// Record a completed fault recovery into the trace and telemetry.
-    fn push_recovery_step(
+    /// Appends one executed step to the query's trace and telemetry.
+    fn push_step(
         &self,
-        steps: &mut Vec<StepTrace>,
-        total: &mut VirtualNanos,
+        run: &mut Run,
+        op: StepOp,
+        proc: Proc,
         time: VirtualNanos,
         inter_len: usize,
     ) {
+        let s = StepTrace {
+            op,
+            proc,
+            time,
+            inter_len,
+        };
+        self.record_step(&s);
+        run.total += time;
+        run.steps.push(s);
+    }
+
+    /// Record a completed fault recovery into the trace and telemetry.
+    fn push_recovery_step(&self, run: &mut Run, time: VirtualNanos, inter_len: usize) {
         self.telemetry
             .counter_add("griffin_fault_migrations_total", 1);
         self.telemetry
             .observe_duration("griffin_fault_recovery_ns", time);
-        *total += time;
-        steps.push(StepTrace {
-            op: StepOp::FaultRecovery,
-            proc: Proc::Cpu,
-            time,
-            inter_len,
-        });
-        self.record_step(steps.last().expect("just pushed"));
+        self.push_step(run, StepOp::FaultRecovery, Proc::Cpu, time, inter_len);
+    }
+
+    /// Charges one host operator's work: priced as its own `op` step, or
+    /// — under [`ExecMode::CpuOnly`] — folded into the query's single
+    /// coarse step (see [`Run::unpriced`]).
+    fn host_work(&self, run: &mut Run, op: StepOp, w: &WorkCounters, inter_len: usize) {
+        match &mut run.unpriced {
+            Some(acc) => acc.add(w),
+            None => {
+                self.record_cpu_work(w);
+                self.push_step(run, op, Proc::Cpu, self.cpu.model.time(w), inter_len);
+            }
+        }
+    }
+
+    /// Runs one host operator and charges its work ([`Griffin::host_work`]).
+    fn host_op(
+        &self,
+        run: &mut Run,
+        op: StepOp,
+        f: impl FnOnce(&mut WorkCounters) -> Intermediate,
+    ) -> Intermediate {
+        let mut w = WorkCounters::default();
+        let out = f(&mut w);
+        self.host_work(run, op, &w, out.len());
+        out
     }
 
     /// Bracket one query's telemetry: QueryStart before, QueryEnd plus
@@ -794,32 +880,6 @@ impl<'g> Griffin<'g> {
         }
     }
 
-    /// Historical word-list entry point: every word missing from the
-    /// vocabulary yields an empty result instead of an error.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `query(index, text).lenient(true).run()` — the builder parses the full \
-                query grammar and folds the lenient behaviour into a setter"
-    )]
-    pub fn search_lenient(
-        &self,
-        index: &InvertedIndex,
-        words: &[&str],
-        k: usize,
-        mode: ExecMode,
-    ) -> GriffinOutput {
-        let query = Query::And(
-            words
-                .iter()
-                .map(|w| match index.lookup(w) {
-                    Some(t) => Query::Term(t),
-                    None => Query::Nothing,
-                })
-                .collect(),
-        );
-        self.run(index, &QueryRequest::from_query(query).k(k).mode(mode))
-    }
-
     /// Processes one conjunctive query, returning the top-k and the
     /// virtual latency under the chosen mode. Thin shim over
     /// [`Griffin::run`] for positional-argument callers.
@@ -861,154 +921,73 @@ impl<'g> Griffin<'g> {
             if let Some(hit) = self.result_cache_lookup(req) {
                 return hit;
             }
-            // Plain term conjunctions — the original query shape — take
-            // the fast path: the per-step AND-chain machinery (and the
-            // pruned variants) unchanged. Anything else lowers through
-            // the planner.
-            let out = match req.query.as_term_conjunction() {
-                Some(terms) if req.pruned => self.run_pruned(index, &terms, req.k, req.mode),
-                Some(terms) => self.run_flat(index, &terms, req.k, req.mode),
-                None => self.run_plan(index, &req.query, req.k, req.mode),
-            };
+            let root = Planner { index }.plan(&req.query);
+            let out = self.execute(index, &root, req);
             self.result_cache_store(req, &out);
             out
         })
     }
 
-    fn run_flat(
-        &self,
-        index: &InvertedIndex,
-        terms: &[TermId],
-        k: usize,
-        mode: ExecMode,
-    ) -> GriffinOutput {
-        match mode {
-            ExecMode::CpuOnly => {
-                let out = self.cpu.process_query(index, terms, k);
-                self.record_cpu_work(&out.counters);
-                let steps = if out.time > VirtualNanos::ZERO {
-                    vec![StepTrace {
-                        op: StepOp::Exec,
-                        proc: Proc::Cpu,
-                        time: out.time,
-                        inter_len: out.topk.len(),
-                    }]
-                } else {
-                    Vec::new()
-                };
-                for s in &steps {
-                    self.record_step(s);
-                }
-                GriffinOutput {
-                    topk: out.topk,
-                    time: out.time,
-                    steps,
-                    gpu_faults: 0,
-                    gpu_abandoned: false,
-                    pruning: None,
-                    fleet: None,
-                    result_cache_hit: false,
-                }
+    /// The executor: walks the plan under the request's mode, then feeds
+    /// the survivors to the top-k sink on the host (Fig. 7). A pruned
+    /// request whose plan is a single chain takes the pruned sink, which
+    /// fuses the chain with block-max ranking ([`Griffin::pruned_topk`]).
+    fn execute(&self, index: &InvertedIndex, root: &PlanNode, req: &QueryRequest) -> GriffinOutput {
+        let mut run = Run::new(req.mode);
+        let (topk, pruning) = match root {
+            // Nothing to run: zero time, zero steps.
+            PlanNode::Empty => (Vec::new(), None),
+            PlanNode::Chain { terms, .. } if req.pruned => {
+                let (topk, stats) = self.pruned_topk(index, terms, req.k, &mut run);
+                (topk, Some(stats))
             }
-            ExecMode::GpuOnly => {
-                let mut log = FaultLog::default();
-                let start = self.device.now();
-                match self.try_gpu(&mut log, || self.gpu.process_query(index, terms, k)) {
-                    Ok(out) => {
-                        let rank_time = self.cpu.model.time(&out.rank_work);
-                        self.record_cpu_work(&out.rank_work);
-                        let mut steps = Vec::new();
-                        // Retry backoff (if any) is part of the device-side
-                        // span; fold it into the Exec step so steps still
-                        // sum to the total.
-                        let exec_time = self.device.now() - start;
-                        if exec_time > VirtualNanos::ZERO {
-                            steps.push(StepTrace {
-                                op: StepOp::Exec,
-                                proc: Proc::Gpu,
-                                time: exec_time,
-                                inter_len: out.topk.len(),
-                            });
-                        }
-                        if rank_time > VirtualNanos::ZERO {
-                            steps.push(StepTrace {
-                                op: StepOp::TopK,
-                                proc: Proc::Cpu,
-                                time: rank_time,
-                                inter_len: out.topk.len(),
-                            });
-                        }
-                        for s in &steps {
-                            self.record_step(s);
-                        }
-                        GriffinOutput {
-                            topk: out.topk,
-                            time: exec_time + rank_time,
-                            steps,
-                            gpu_faults: log.faults,
-                            gpu_abandoned: log.gpu_disabled,
-                            pruning: None,
-                            fleet: None,
-                            result_cache_hit: false,
-                        }
-                    }
-                    Err(_) => {
-                        // The device gave up on the whole query: run it
-                        // on the CPU from scratch. The wasted GPU attempts
-                        // (plus backoff) become a FaultRecovery step.
-                        let wasted = self.device.now() - start;
-                        let mut steps = Vec::new();
-                        let mut total = VirtualNanos::ZERO;
-                        self.push_recovery_step(&mut steps, &mut total, wasted, 0);
-                        let out = self.cpu.process_query(index, terms, k);
-                        self.record_cpu_work(&out.counters);
-                        if out.time > VirtualNanos::ZERO {
-                            steps.push(StepTrace {
-                                op: StepOp::Exec,
-                                proc: Proc::Cpu,
-                                time: out.time,
-                                inter_len: out.topk.len(),
-                            });
-                            self.record_step(steps.last().expect("just pushed"));
-                        }
-                        GriffinOutput {
-                            topk: out.topk,
-                            time: total + out.time,
-                            steps,
-                            gpu_faults: log.faults,
-                            gpu_abandoned: log.gpu_disabled,
-                            pruning: None,
-                            fleet: None,
-                            result_cache_hit: false,
-                        }
-                    }
-                }
+            _ => {
+                let host = self.eval(index, root, &mut run);
+                let mut w = WorkCounters::default();
+                let topk = griffin_cpu::topk::top_k(&host.docids, &host.scores, req.k, &mut w);
+                self.host_work(&mut run, StepOp::TopK, &w, topk.len());
+                (topk, None)
             }
-            ExecMode::Hybrid => self.process_hybrid(index, terms, k),
+        };
+        if let Some(w) = run.unpriced.take() {
+            let time = self.cpu.model.time(&w);
+            self.record_cpu_work(&w);
+            if time > VirtualNanos::ZERO {
+                self.push_step(&mut run, StepOp::Exec, Proc::Cpu, time, topk.len());
+            }
+        }
+        GriffinOutput {
+            topk,
+            time: run.total,
+            steps: run.steps,
+            gpu_faults: run.faults,
+            gpu_abandoned: run.gpu_disabled,
+            pruning,
+            fleet: None,
+            result_cache_hit: false,
         }
     }
 
-    /// Block-max pruned execution for term conjunctions: the CPU path
-    /// defers tf decoding behind per-block BM25 upper bounds; the GPU
-    /// path restricts uploads to the candidate hull's blocks. Both are
-    /// bit-exact with the unpruned paths (the property suite checks
-    /// this); under [`ExecMode::Hybrid`] the planner cost-picks one of
-    /// the two wholesale — deferred scoring does not compose with
-    /// per-step migration, so a pruned query does not migrate
-    /// mid-chain.
-    fn run_pruned(
+    /// The pruned top-k sink over a root chain: on the host, block-max
+    /// pruning defers tf decoding behind per-block BM25 upper bounds; on
+    /// the device, uploads are restricted to the candidate hull's blocks.
+    /// Both are bit-exact with the unpruned path. Deferred scoring does
+    /// not compose with per-step migration, so the chain and its ranking
+    /// run wholesale on one processor — under [`ExecMode::Hybrid`], the
+    /// one the scheduler picks for the chain's first pairwise ratio.
+    fn pruned_topk(
         &self,
         index: &InvertedIndex,
         terms: &[TermId],
         k: usize,
-        mode: ExecMode,
-    ) -> GriffinOutput {
-        let place = match mode {
+        run: &mut Run,
+    ) -> (Vec<(u32, f32)>, PruneStats) {
+        let place = match run.mode {
             ExecMode::CpuOnly => Proc::Cpu,
             ExecMode::GpuOnly => Proc::Gpu,
             ExecMode::Hybrid => {
-                let mut by_df: Vec<TermId> = terms.to_vec();
-                by_df.sort_unstable_by_key(|&t| index.doc_freq(t));
+                let mut by_df = terms.to_vec();
+                by_df.sort_by_key(|&t| index.doc_freq(t));
                 match by_df.get(1) {
                     Some(&second) => {
                         let d = self.scheduler.decide_traced_resident(
@@ -1026,396 +1005,96 @@ impl<'g> Griffin<'g> {
                 }
             }
         };
-        match place {
-            Proc::Cpu => self.run_pruned_cpu(index, terms, k),
-            Proc::Gpu => {
-                let mut log = FaultLog::default();
-                let start = self.device.now();
-                match self.try_gpu(&mut log, || self.gpu.process_query_pruned(index, terms, k)) {
-                    Ok(p) => {
-                        let rank_time = self.cpu.model.time(&p.out.rank_work);
-                        self.record_cpu_work(&p.out.rank_work);
-                        let exec_time = self.device.now() - start;
-                        let mut steps = Vec::new();
-                        if exec_time > VirtualNanos::ZERO {
-                            steps.push(StepTrace {
-                                op: StepOp::Exec,
-                                proc: Proc::Gpu,
-                                time: exec_time,
-                                inter_len: p.out.topk.len(),
-                            });
-                        }
-                        if rank_time > VirtualNanos::ZERO {
-                            steps.push(StepTrace {
-                                op: StepOp::TopK,
-                                proc: Proc::Cpu,
-                                time: rank_time,
-                                inter_len: p.out.topk.len(),
-                            });
-                        }
-                        for s in &steps {
-                            self.record_step(s);
-                        }
-                        let matches = p.out.topk.len() as u64;
-                        GriffinOutput {
-                            topk: p.out.topk,
-                            time: exec_time + rank_time,
-                            steps,
-                            gpu_faults: log.faults,
-                            gpu_abandoned: log.gpu_disabled,
-                            pruning: Some(PruneStats {
-                                tf_blocks_total: p.blocks_total,
-                                tf_blocks_decoded: p.blocks_resident,
-                                candidates: matches,
-                                verified: matches,
-                            }),
-                            fleet: None,
-                            result_cache_hit: false,
-                        }
-                    }
-                    Err(_) => {
-                        // Whole-query fallback, like the unpruned GpuOnly
-                        // path: wasted device attempts become a recovery
-                        // step, then the CPU pruned path runs from scratch.
-                        let wasted = self.device.now() - start;
-                        let mut steps = Vec::new();
-                        let mut total = VirtualNanos::ZERO;
-                        self.push_recovery_step(&mut steps, &mut total, wasted, 0);
-                        let mut out = self.run_pruned_cpu(index, terms, k);
-                        out.time += total;
-                        steps.append(&mut out.steps);
-                        out.steps = steps;
-                        out.gpu_faults += log.faults;
-                        out.gpu_abandoned |= log.gpu_disabled;
-                        out
-                    }
-                }
+        if place == Proc::Gpu {
+            let attempt = self.gpu_or_cpu(
+                run,
+                || self.gpu.process_query_pruned(index, terms, k),
+                |p| p.out.topk.len(),
+            );
+            if let Some(p) = attempt {
+                self.host_work(run, StepOp::TopK, &p.out.rank_work, p.out.topk.len());
+                let matches = p.out.topk.len() as u64;
+                let stats = PruneStats {
+                    tf_blocks_total: p.blocks_total,
+                    tf_blocks_decoded: p.blocks_resident,
+                    candidates: matches,
+                    verified: matches,
+                };
+                return (p.out.topk, stats);
             }
         }
-    }
-
-    fn run_pruned_cpu(&self, index: &InvertedIndex, terms: &[TermId], k: usize) -> GriffinOutput {
         let out = self.cpu.process_query_pruned(index, terms, k);
-        self.record_cpu_work(&out.counters);
-        let steps = if out.time > VirtualNanos::ZERO {
-            vec![StepTrace {
-                op: StepOp::Exec,
-                proc: Proc::Cpu,
-                time: out.time,
-                inter_len: out.topk.len(),
-            }]
-        } else {
-            Vec::new()
-        };
-        for s in &steps {
-            self.record_step(s);
-        }
-        GriffinOutput {
-            topk: out.topk,
-            time: out.time,
-            steps,
-            gpu_faults: 0,
-            gpu_abandoned: false,
-            pruning: Some(out.stats),
-            fleet: None,
-            result_cache_hit: false,
-        }
+        self.host_work(run, StepOp::Exec, &out.counters, out.topk.len());
+        (out.topk, out.stats)
     }
 
-    /// Executes a non-conjunctive query by lowering it through the
-    /// cost-based planner and walking the plan DAG. Chains (and the
-    /// chain part of phrases) run on the processor machinery the mode
-    /// allows — including the hybrid per-step scheduler with its
-    /// migrations and co-executed splits — while set operators run on
-    /// the host (see [`crate::plan`] for why).
-    fn run_plan(
-        &self,
-        index: &InvertedIndex,
-        query: &Query,
-        k: usize,
-        mode: ExecMode,
-    ) -> GriffinOutput {
-        let planner = Planner {
-            index,
-            scheduler: &self.scheduler,
-        };
-        let plan = planner.plan(query);
-        for d in &plan.decisions {
-            self.record_decision(d);
-        }
-        if plan.root == PlanNode::Empty {
-            return GriffinOutput {
-                topk: Vec::new(),
-                time: VirtualNanos::ZERO,
-                steps: Vec::new(),
-                gpu_faults: 0,
-                gpu_abandoned: false,
-                pruning: None,
-                fleet: None,
-                result_cache_hit: false,
-            };
-        }
-        match mode {
-            ExecMode::CpuOnly => {
-                // Like the flat CpuOnly path, the whole tree runs
-                // opaquely on one engine: a single coarse Exec step.
-                let mut w = WorkCounters::default();
-                let host = {
-                    let mut scratch = self.scratch.borrow_mut();
-                    self.eval_plan_cpu(index, &plan.root, &mut w, &mut scratch)
-                };
-                let topk = griffin_cpu::topk::top_k(&host.docids, &host.scores, k, &mut w);
-                let time = self.cpu.model.time(&w);
-                self.record_cpu_work(&w);
-                let steps = if time > VirtualNanos::ZERO {
-                    vec![StepTrace {
-                        op: StepOp::Exec,
-                        proc: Proc::Cpu,
-                        time,
-                        inter_len: topk.len(),
-                    }]
-                } else {
-                    Vec::new()
-                };
-                for s in &steps {
-                    self.record_step(s);
-                }
-                GriffinOutput {
-                    topk,
-                    time,
-                    steps,
-                    gpu_faults: 0,
-                    gpu_abandoned: false,
-                    pruning: None,
-                    fleet: None,
-                    result_cache_hit: false,
-                }
-            }
-            ExecMode::GpuOnly | ExecMode::Hybrid => {
-                let mut steps = Vec::new();
-                let mut total = VirtualNanos::ZERO;
-                let mut log = FaultLog::default();
-                let host = self
-                    .eval_plan_traced(index, &plan.root, mode, &mut log, &mut steps, &mut total);
-                self.gpu.drain_prefetch();
-                let mut w = WorkCounters::default();
-                let topk = griffin_cpu::topk::top_k(&host.docids, &host.scores, k, &mut w);
-                let t_rank = self.cpu.model.time(&w);
-                self.record_cpu_work(&w);
-                total += t_rank;
-                steps.push(StepTrace {
-                    op: StepOp::TopK,
-                    proc: Proc::Cpu,
-                    time: t_rank,
-                    inter_len: topk.len(),
-                });
-                self.record_step(steps.last().expect("just pushed"));
-                GriffinOutput {
-                    topk,
-                    time: total,
-                    steps,
-                    gpu_faults: log.faults,
-                    gpu_abandoned: log.gpu_disabled,
-                    pruning: None,
-                    fleet: None,
-                    result_cache_hit: false,
-                }
-            }
-        }
-    }
-
-    /// Pure-CPU plan walk: all operators accumulate into one counter set
-    /// (priced as a single coarse step by the caller).
-    fn eval_plan_cpu(
-        &self,
-        index: &InvertedIndex,
-        node: &PlanNode,
-        w: &mut WorkCounters,
-        scratch: &mut QueryScratch,
-    ) -> Intermediate {
+    /// The plan walker, shared by every mode: chains run under the mode's
+    /// placement constraint ([`Griffin::chain`]); phrase checks and set
+    /// operators run on the host (see [`crate::plan`] for why), each
+    /// charged as its own step so durations still sum to the total.
+    fn eval(&self, index: &InvertedIndex, node: &PlanNode, run: &mut Run) -> Intermediate {
         match node {
             PlanNode::Empty => Intermediate::default(),
-            PlanNode::Chain { terms, .. } => self.cpu.eval_chain(index, terms, w, scratch),
+            PlanNode::Chain { terms, .. } => self.chain(index, terms, run),
             PlanNode::Phrase { terms, .. } => {
-                let inter = self.cpu.eval_chain(index, terms, w, scratch);
-                setops::phrase_filter(index, terms, &inter, w, scratch)
+                let inter = self.chain(index, terms, run);
+                self.host_op(run, StepOp::PhraseCheck, |w| {
+                    setops::phrase_filter(index, terms, &inter, w, &mut self.scratch.borrow_mut())
+                })
             }
             PlanNode::Intersect { children, .. } => {
-                let mut acc = self.eval_plan_cpu(index, &children[0], w, scratch);
+                let mut acc = self.eval(index, &children[0], run);
                 for c in &children[1..] {
                     if acc.is_empty() {
                         break;
                     }
-                    let part = self.eval_plan_cpu(index, c, w, scratch);
-                    acc = setops::intersect_sets(&acc, &part, w);
-                }
-                acc
-            }
-            PlanNode::Union { children, .. } => {
-                let mut acc = self.eval_plan_cpu(index, &children[0], w, scratch);
-                for c in &children[1..] {
-                    let part = self.eval_plan_cpu(index, c, w, scratch);
-                    acc = setops::union(&acc, &part, w);
-                }
-                acc
-            }
-            PlanNode::Difference { left, right, .. } => {
-                let l = self.eval_plan_cpu(index, left, w, scratch);
-                if l.is_empty() {
-                    return l;
-                }
-                let r = self.eval_plan_cpu(index, right, w, scratch);
-                setops::difference(&l, &r, w)
-            }
-        }
-    }
-
-    /// Traced plan walk for the GPU-capable modes: chains run on the
-    /// device ([`ExecMode::GpuOnly`]) or through the hybrid per-step
-    /// scheduler ([`ExecMode::Hybrid`]); set operators run on the host,
-    /// each recorded as its own step so durations still sum to the
-    /// total.
-    fn eval_plan_traced(
-        &self,
-        index: &InvertedIndex,
-        node: &PlanNode,
-        mode: ExecMode,
-        log: &mut FaultLog,
-        steps: &mut Vec<StepTrace>,
-        total: &mut VirtualNanos,
-    ) -> Intermediate {
-        let cpu_setop_step = |griffin: &Self,
-                              op: StepOp,
-                              out: &Intermediate,
-                              w: WorkCounters,
-                              total: &mut VirtualNanos,
-                              steps: &mut Vec<StepTrace>| {
-            let t = griffin.cpu.model.time(&w);
-            griffin.record_cpu_work(&w);
-            *total += t;
-            steps.push(StepTrace {
-                op,
-                proc: Proc::Cpu,
-                time: t,
-                inter_len: out.len(),
-            });
-            griffin.record_step(steps.last().expect("just pushed"));
-        };
-        match node {
-            PlanNode::Empty => Intermediate::default(),
-            PlanNode::Chain { terms, .. } => {
-                self.eval_chain_traced(index, terms, mode, log, steps, total)
-            }
-            PlanNode::Phrase { terms, .. } => {
-                let inter = self.eval_chain_traced(index, terms, mode, log, steps, total);
-                let mut w = WorkCounters::default();
-                let out = setops::phrase_filter(
-                    index,
-                    terms,
-                    &inter,
-                    &mut w,
-                    &mut self.scratch.borrow_mut(),
-                );
-                cpu_setop_step(self, StepOp::PhraseCheck, &out, w, total, steps);
-                out
-            }
-            PlanNode::Intersect { children, .. } => {
-                let mut acc = self.eval_plan_traced(index, &children[0], mode, log, steps, total);
-                for c in &children[1..] {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    let part = self.eval_plan_traced(index, c, mode, log, steps, total);
-                    let mut w = WorkCounters::default();
-                    acc = setops::intersect_sets(&acc, &part, &mut w);
-                    cpu_setop_step(self, StepOp::IntersectSets, &acc, w, total, steps);
-                }
-                acc
-            }
-            PlanNode::Union { children, .. } => {
-                let mut acc = self.eval_plan_traced(index, &children[0], mode, log, steps, total);
-                for c in &children[1..] {
-                    let part = self.eval_plan_traced(index, c, mode, log, steps, total);
-                    let mut w = WorkCounters::default();
-                    acc = setops::union(&acc, &part, &mut w);
-                    cpu_setop_step(self, StepOp::Union, &acc, w, total, steps);
-                }
-                acc
-            }
-            PlanNode::Difference { left, right, .. } => {
-                let l = self.eval_plan_traced(index, left, mode, log, steps, total);
-                if l.is_empty() {
-                    return l;
-                }
-                let r = self.eval_plan_traced(index, right, mode, log, steps, total);
-                let mut w = WorkCounters::default();
-                let out = setops::difference(&l, &r, &mut w);
-                cpu_setop_step(self, StepOp::Difference, &out, w, total, steps);
-                out
-            }
-        }
-    }
-
-    /// One chain operator under a GPU-capable mode. GpuOnly runs the
-    /// whole chain on the device (falling back to the CPU on an
-    /// exhausted fault, like the flat GpuOnly path); Hybrid runs the
-    /// per-step scheduler — migrations, splits, and all.
-    fn eval_chain_traced(
-        &self,
-        index: &InvertedIndex,
-        terms: &[TermId],
-        mode: ExecMode,
-        log: &mut FaultLog,
-        steps: &mut Vec<StepTrace>,
-        total: &mut VirtualNanos,
-    ) -> Intermediate {
-        if mode == ExecMode::Hybrid {
-            return self.hybrid_chain(log, index, terms, steps, total);
-        }
-        if !log.gpu_disabled {
-            let start = self.device.now();
-            let attempt = self.try_gpu(log, || self.gpu.eval_chain(index, terms));
-            match attempt {
-                Ok(host) => {
-                    self.device.stream_sync(StreamKind::Compute);
-                    self.gpu.drain_prefetch();
-                    let t = self.device.now() - start;
-                    *total += t;
-                    steps.push(StepTrace {
-                        op: StepOp::Exec,
-                        proc: Proc::Gpu,
-                        time: t,
-                        inter_len: host.len(),
+                    let part = self.eval(index, c, run);
+                    acc = self.host_op(run, StepOp::IntersectSets, |w| {
+                        setops::intersect_sets(&acc, &part, w)
                     });
-                    self.record_step(steps.last().expect("just pushed"));
+                }
+                acc
+            }
+            PlanNode::Union { children, .. } => {
+                let mut acc = self.eval(index, &children[0], run);
+                for c in &children[1..] {
+                    let part = self.eval(index, c, run);
+                    acc = self.host_op(run, StepOp::Union, |w| setops::union(&acc, &part, w));
+                }
+                acc
+            }
+            PlanNode::Difference { left, right, .. } => {
+                let l = self.eval(index, left, run);
+                if l.is_empty() {
+                    return l;
+                }
+                let r = self.eval(index, right, run);
+                self.host_op(run, StepOp::Difference, |w| setops::difference(&l, &r, w))
+            }
+        }
+    }
+
+    /// One chain operator under the mode's placement constraint: CpuOnly
+    /// runs it on the host, GpuOnly runs the whole chain on the device
+    /// (falling back to the host on an exhausted fault), and Hybrid runs
+    /// the per-step scheduler — migrations, splits and all.
+    fn chain(&self, index: &InvertedIndex, terms: &[TermId], run: &mut Run) -> Intermediate {
+        match run.mode {
+            ExecMode::Hybrid => return self.hybrid_chain(index, terms, run),
+            ExecMode::GpuOnly => {
+                let attempt =
+                    self.gpu_or_cpu(run, || self.gpu.eval_chain(index, terms), Intermediate::len);
+                if let Some(host) = attempt {
                     return host;
                 }
-                Err(_) => {
-                    self.gpu.drain_prefetch();
-                    let wasted = self.device.now() - start;
-                    self.push_recovery_step(steps, total, wasted, 0);
-                }
             }
+            ExecMode::CpuOnly => {}
         }
-        // CPU fallback (device disabled for this query, or the chain's
-        // attempts were exhausted above).
-        let mut w = WorkCounters::default();
-        let host = self
-            .cpu
-            .eval_chain(index, terms, &mut w, &mut self.scratch.borrow_mut());
-        let t = self.cpu.model.time(&w);
-        self.record_cpu_work(&w);
-        *total += t;
-        steps.push(StepTrace {
-            op: StepOp::Exec,
-            proc: Proc::Cpu,
-            time: t,
-            inter_len: host.len(),
-        });
-        self.record_step(steps.last().expect("just pushed"));
-        host
+        self.host_op(run, StepOp::Exec, |w| {
+            self.cpu
+                .eval_chain(index, terms, w, &mut self.scratch.borrow_mut())
+        })
     }
-
     /// Executes one intersection as a CPU+GPU co-executed split.
     ///
     /// The long list is partitioned by docID range at a block boundary:
@@ -1435,17 +1114,14 @@ impl<'g> Griffin<'g> {
     /// the split wastes only the device lane: the CPU lane's result is
     /// kept and only the device's range is re-run on the host (recorded
     /// as a [`StepOp::FaultRecovery`] step).
-    #[allow(clippy::too_many_arguments)]
     fn split_intersect(
         &self,
-        log: &mut FaultLog,
+        run: &mut Run,
         index: &InvertedIndex,
         i: usize,
         term: TermId,
         host: Intermediate,
         gpu_fraction: f64,
-        steps: &mut Vec<StepTrace>,
-        total: &mut VirtualNanos,
     ) -> Intermediate {
         let list = index.list(term);
         let nb = list.docs.num_blocks();
@@ -1476,10 +1152,10 @@ impl<'g> Griffin<'g> {
         let mut gpu_lane = VirtualNanos::ZERO;
         let mut gpu_wasted = VirtualNanos::ZERO;
         let mut gpu_part: Option<Intermediate> = None;
-        let run_gpu = split_block > 0 && cut > 0 && !log.gpu_disabled;
+        let run_gpu = split_block > 0 && cut > 0 && !run.gpu_disabled;
         if run_gpu {
             let start = self.device.now();
-            let attempt = self.try_gpu(log, || {
+            let attempt = self.try_gpu(run, || {
                 let score_bits: Vec<u32> = host.scores[..cut].iter().map(|s| s.to_bits()).collect();
                 let [docids, scores] = self
                     .device
@@ -1585,20 +1261,19 @@ impl<'g> Griffin<'g> {
         } else {
             gpu_busy
         };
-        *total += step_time;
-        steps.push(StepTrace {
-            op: StepOp::SplitIntersect {
+        self.push_step(
+            run,
+            StepOp::SplitIntersect {
                 term: i + 1,
                 cpu_lane,
                 gpu_lane: gpu_busy,
             },
-            proc: if run_gpu { Proc::Gpu } else { Proc::Cpu },
-            time: step_time,
-            inter_len: out.len(),
-        });
-        self.record_step(steps.last().expect("just pushed"));
+            if run_gpu { Proc::Gpu } else { Proc::Cpu },
+            step_time,
+            out.len(),
+        );
         if gpu_failed {
-            self.push_recovery_step(steps, total, recovery_time, out.len());
+            self.push_recovery_step(run, recovery_time, out.len());
         }
 
         // Feedback and observability. The balancer only learns from real
@@ -1634,64 +1309,13 @@ impl<'g> Griffin<'g> {
         out
     }
 
-    fn process_hybrid(&self, index: &InvertedIndex, terms: &[TermId], k: usize) -> GriffinOutput {
-        let mut steps: Vec<StepTrace> = Vec::new();
-        let mut total = VirtualNanos::ZERO;
-        let mut log = FaultLog::default();
-        let host = self.hybrid_chain(&mut log, index, terms, &mut steps, &mut total);
-        if steps.is_empty() && host.is_empty() {
-            // Nothing ran (an empty query): keep the historical
-            // zero-time, zero-step output.
-            return GriffinOutput {
-                topk: Vec::new(),
-                time: VirtualNanos::ZERO,
-                steps,
-                gpu_faults: log.faults,
-                gpu_abandoned: log.gpu_disabled,
-                pruning: None,
-                fleet: None,
-                result_cache_hit: false,
-            };
-        }
-        let mut w = WorkCounters::default();
-        let topk = griffin_cpu::topk::top_k(&host.docids, &host.scores, k, &mut w);
-        let t_rank = self.cpu.model.time(&w);
-        self.record_cpu_work(&w);
-        total += t_rank;
-        steps.push(StepTrace {
-            op: StepOp::TopK,
-            proc: Proc::Cpu,
-            time: t_rank,
-            inter_len: topk.len(),
-        });
-        self.record_step(steps.last().expect("just pushed"));
-        GriffinOutput {
-            topk,
-            time: total,
-            steps,
-            gpu_faults: log.faults,
-            gpu_abandoned: log.gpu_disabled,
-            pruning: None,
-            fleet: None,
-            result_cache_hit: false,
-        }
-    }
-
-    /// The per-step hybrid AND-chain — the original engine's heart,
-    /// factored out so the plan executor can run it once per chain
-    /// operator. Plans the terms by document frequency, then decides
-    /// each pairwise intersection's processor (with migration, split
-    /// co-execution, prefetch, and fault recovery), and always returns
-    /// the intermediate host-resident (salvaging any device residency
-    /// at the end, like final ranking always did).
-    fn hybrid_chain(
-        &self,
-        log: &mut FaultLog,
-        index: &InvertedIndex,
-        terms: &[TermId],
-        steps: &mut Vec<StepTrace>,
-        total: &mut VirtualNanos,
-    ) -> Intermediate {
+    /// One chain operator under [`ExecMode::Hybrid`]: the per-step
+    /// scheduler (paper Fig. 1(d)). Plans the terms by document
+    /// frequency, then decides each pairwise intersection's processor
+    /// (with migration, split co-execution, prefetch, and fault
+    /// recovery), and always returns the intermediate host-resident —
+    /// whatever follows the chain runs on the CPU (Fig. 7).
+    fn hybrid_chain(&self, index: &InvertedIndex, terms: &[TermId], run: &mut Run) -> Intermediate {
         let planned = self.cpu.plan(index, terms);
         let Some((&first, rest)) = planned.split_first() else {
             return Intermediate::default();
@@ -1719,7 +1343,7 @@ impl<'g> Griffin<'g> {
         let mut inter: Inter = match initial {
             Proc::Gpu => {
                 let start = self.device.now();
-                let attempt = self.try_gpu(log, || {
+                let attempt = self.try_gpu(run, || {
                     let postings = self.gpu.upload(index, first)?;
                     let dev = self.gpu.init_intermediate(&postings);
                     self.gpu.release(postings);
@@ -1747,41 +1371,22 @@ impl<'g> Griffin<'g> {
                         // covers the kernels this step scheduled.
                         self.device.stream_sync(StreamKind::Compute);
                         let t_up = self.device.now() - start;
-                        *total += t_up;
-                        steps.push(StepTrace {
-                            op: StepOp::Init,
-                            proc: Proc::Gpu,
-                            time: t_up,
-                            inter_len: dev_inter.len,
-                        });
-                        self.record_step(steps.last().expect("just pushed"));
+                        self.push_step(run, StepOp::Init, Proc::Gpu, t_up, dev_inter.len);
                         Inter::Device(dev_inter)
                     }
                     Err(_) => {
                         // Nothing materialized yet: the recovery is just
                         // the wasted attempts plus a CPU init.
                         let wasted = self.device.now() - start;
-                        let (host, t_rec) = self.salvage(log, index, &planned, 0, None);
-                        self.push_recovery_step(steps, total, wasted + t_rec, host.len());
+                        let (host, t_rec) = self.salvage(run, index, &planned, 0, None);
+                        self.push_recovery_step(run, wasted + t_rec, host.len());
                         Inter::Host(host)
                     }
                 }
             }
-            Proc::Cpu => {
-                let mut w = WorkCounters::default();
-                let host = self.cpu.init_intermediate(index, first, &mut w);
-                let t = self.cpu.model.time(&w);
-                self.record_cpu_work(&w);
-                *total += t;
-                steps.push(StepTrace {
-                    op: StepOp::Init,
-                    proc: Proc::Cpu,
-                    time: t,
-                    inter_len: host.len(),
-                });
-                self.record_step(steps.last().expect("just pushed"));
-                Inter::Host(host)
-            }
+            Proc::Cpu => Inter::Host(self.host_op(run, StepOp::Init, |w| {
+                self.cpu.init_intermediate(index, first, w)
+            })),
         };
 
         for (i, &term) in rest.iter().enumerate() {
@@ -1789,7 +1394,7 @@ impl<'g> Griffin<'g> {
                 break;
             }
             let long_len = index.doc_freq(term);
-            let decision = if log.gpu_disabled {
+            let decision = if run.gpu_disabled {
                 Decision::Cpu
             } else {
                 let d = self.scheduler.decide_traced_resident(
@@ -1809,8 +1414,7 @@ impl<'g> Griffin<'g> {
                 let Inter::Host(host) = inter else {
                     unreachable!("split decisions require a host-resident intermediate")
                 };
-                let out =
-                    self.split_intersect(log, index, i, term, host, gpu_fraction, steps, total);
+                let out = self.split_intersect(run, index, i, term, host, gpu_fraction);
                 inter = Inter::Host(out);
                 continue;
             }
@@ -1821,7 +1425,7 @@ impl<'g> Griffin<'g> {
                 match (inter, target) {
                     (Inter::Host(h), Proc::Gpu) => {
                         let start = self.device.now();
-                        let shipped = self.try_gpu(log, || {
+                        let shipped = self.try_gpu(run, || {
                             let score_bits: Vec<u32> =
                                 h.scores.iter().map(|s| s.to_bits()).collect();
                             let [docids, scores] =
@@ -1841,39 +1445,20 @@ impl<'g> Griffin<'g> {
                         let t = self.device.now() - start;
                         match shipped {
                             Ok(dev) => {
+                                self.push_step(run, StepOp::Migrate, target, t, dev.len);
                                 inter = Inter::Device(dev);
-                                *total += t;
-                                steps.push(StepTrace {
-                                    op: StepOp::Migrate,
-                                    proc: target,
-                                    time: t,
-                                    inter_len: inter.len(),
-                                });
-                                self.record_step(steps.last().expect("just pushed"));
                             }
                             Err(_) => {
                                 // The intermediate never left the host:
                                 // stay there and run the op on the CPU.
-                                self.push_recovery_step(steps, total, t, h.len());
+                                self.push_recovery_step(run, t, h.len());
                                 inter = Inter::Host(h);
                                 target = Proc::Cpu;
                             }
                         }
                     }
                     (Inter::Device(dev), Proc::Cpu) => {
-                        let (host, t) = self.salvage(log, index, &planned, i, Some(dev));
-                        if log.gpu_disabled {
-                            self.push_recovery_step(steps, total, t, host.len());
-                        } else {
-                            *total += t;
-                            steps.push(StepTrace {
-                                op: StepOp::Migrate,
-                                proc: target,
-                                time: t,
-                                inter_len: host.len(),
-                            });
-                            self.record_step(steps.last().expect("just pushed"));
-                        }
+                        let host = self.migrate_home(run, index, &planned, i, dev);
                         inter = Inter::Host(host);
                     }
                     (other, _) => inter = other,
@@ -1883,7 +1468,7 @@ impl<'g> Griffin<'g> {
             let (next, t, ran_on) = match (inter, target) {
                 (Inter::Device(dev), Proc::Gpu) => {
                     let start = self.device.now();
-                    let attempt = self.try_gpu(log, || {
+                    let attempt = self.try_gpu(run, || {
                         let postings = self.gpu.upload(index, term)?;
                         let out = self.gpu.intersect_step(
                             &dev,
@@ -1923,8 +1508,8 @@ impl<'g> Griffin<'g> {
                             // pre-step intermediate, then run this
                             // intersection on the CPU.
                             let wasted = self.device.now() - start;
-                            let (host, t_rec) = self.salvage(log, index, &planned, i, Some(dev));
-                            self.push_recovery_step(steps, total, wasted + t_rec, host.len());
+                            let (host, t_rec) = self.salvage(run, index, &planned, i, Some(dev));
+                            self.push_recovery_step(run, wasted + t_rec, host.len());
                             let mut w = WorkCounters::default();
                             let out = self.cpu.intersect_step_with(
                                 index,
@@ -1955,14 +1540,7 @@ impl<'g> Griffin<'g> {
                 _ => unreachable!("intermediate was just migrated to the target"),
             };
             inter = next;
-            *total += t;
-            steps.push(StepTrace {
-                op: StepOp::Intersect(i + 1),
-                proc: ran_on,
-                time: t,
-                inter_len: inter.len(),
-            });
-            self.record_step(steps.last().expect("just pushed"));
+            self.push_step(run, StepOp::Intersect(i + 1), ran_on, t, inter.len());
         }
 
         // A prefetch predicted for a step that never ran on the device
@@ -1974,26 +1552,31 @@ impl<'g> Griffin<'g> {
         // The intermediate comes home: whatever follows the chain —
         // set operations, phrase checks, or final ranking — runs on
         // the CPU (Fig. 7).
-        let completed = rest.len();
         match inter {
-            Inter::Device(dev) => {
-                let (host, t) = self.salvage(log, index, &planned, completed, Some(dev));
-                if log.gpu_disabled {
-                    self.push_recovery_step(steps, total, t, host.len());
-                } else {
-                    *total += t;
-                    steps.push(StepTrace {
-                        op: StepOp::Migrate,
-                        proc: Proc::Cpu,
-                        time: t,
-                        inter_len: host.len(),
-                    });
-                    self.record_step(steps.last().expect("just pushed"));
-                }
-                host
-            }
+            Inter::Device(dev) => self.migrate_home(run, index, &planned, rest.len(), dev),
             Inter::Host(h) => h,
         }
+    }
+
+    /// Migrates a device intermediate to the host after `completed`
+    /// intersections: a [`StepOp::Migrate`] step, or a
+    /// [`StepOp::FaultRecovery`] step when the drain faulted and the
+    /// prefix was re-run on the CPU instead.
+    fn migrate_home(
+        &self,
+        run: &mut Run,
+        index: &InvertedIndex,
+        planned: &[TermId],
+        completed: usize,
+        dev: DeviceIntermediate,
+    ) -> Intermediate {
+        let (host, t) = self.salvage(run, index, planned, completed, Some(dev));
+        if run.gpu_disabled {
+            self.push_recovery_step(run, t, host.len());
+        } else {
+            self.push_step(run, StepOp::Migrate, Proc::Cpu, t, host.len());
+        }
+        host
     }
 }
 
@@ -2032,15 +1615,15 @@ impl Search<'_, '_> {
     }
 
     /// Opt into block-max top-k pruning (conjunctions only; other
-    /// query shapes ignore the flag and run the plan path).
+    /// query shapes ignore the flag and run unpruned).
     pub fn pruned(mut self, pruned: bool) -> Self {
         self.pruned = pruned;
         self
     }
 
     /// Forgive out-of-vocabulary words: the parser maps them to a
-    /// match-nothing leaf instead of erroring, preserving the old
-    /// `search_lenient` behaviour. Syntax errors still error.
+    /// match-nothing leaf instead of erroring. Syntax errors still
+    /// error.
     pub fn lenient(mut self, lenient: bool) -> Self {
         self.lenient = lenient;
         self
@@ -2190,8 +1773,7 @@ mod tests {
             .search(&idx, "rust nonexistent", 10, ExecMode::Hybrid)
             .unwrap_err();
         assert_eq!(err, QueryError::UnknownTerm("nonexistent".into()));
-        // ...and an empty result from the lenient builder (which also
-        // preserves the deprecated `search_lenient` behaviour).
+        // ...and an empty result from the lenient builder.
         let none = griffin
             .query(&idx, "rust nonexistent")
             .lenient(true)
@@ -2199,11 +1781,7 @@ mod tests {
             .expect("lenient parses");
         assert!(none.topk.is_empty());
         assert_eq!(none.time, VirtualNanos::ZERO);
-        #[allow(deprecated)]
-        let legacy = griffin.search_lenient(&idx, &["rust", "nonexistent"], 10, ExecMode::Hybrid);
-        assert!(legacy.topk.is_empty());
-        assert_eq!(legacy.time, VirtualNanos::ZERO);
-        // The full grammar reaches the plan path: OR, negation, phrases.
+        // The full grammar runs too: OR, negation, phrases.
         let planned = griffin
             .search(&idx, "\"rust gpu\" OR engine -cpu", 10, ExecMode::Hybrid)
             .expect("grammar parses");
@@ -2354,6 +1932,119 @@ mod tests {
             let out = griffin.process_query(&idx, &q, 10, mode);
             assert_eq!(out.gpu_faults, 0);
             assert!(out.steps.iter().all(|s| s.op != StepOp::FaultRecovery));
+        }
+    }
+
+    /// Scheduler decisions recorded for one request: the registry
+    /// counter summed over processors, and the `SchedDecision` events.
+    fn decisions_for(idx: &InvertedIndex, req: &QueryRequest) -> (u64, usize) {
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let mut griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
+        // Pin the floor so the small test lists can reach the device.
+        griffin.scheduler.min_gpu_work = 1;
+        let telemetry = Telemetry::enabled();
+        griffin.set_telemetry(telemetry.clone());
+        let out = griffin.run(idx, req);
+        assert!(!out.topk.is_empty(), "test query should match something");
+        let r = telemetry.recorder().expect("enabled");
+        let counted = ["cpu", "gpu", "split"]
+            .iter()
+            .map(|p| {
+                r.registry
+                    .counter(&format!("griffin_sched_decisions_total{{proc=\"{p}\"}}"))
+            })
+            .sum();
+        let events = r
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::SchedDecision { .. }))
+            .count();
+        (counted, events)
+    }
+
+    #[test]
+    fn only_executed_scheduler_decisions_are_recorded() {
+        let mut b = griffin_index::IndexBuilder::new(Codec::EliasFano);
+        for i in 0..400 {
+            let mut words = vec!["alpha"];
+            if i % 2 == 0 {
+                words.push("beta");
+            }
+            if i % 3 == 0 {
+                words.push("gamma");
+            }
+            if i % 7 == 0 {
+                words.push("delta");
+            }
+            b.add_text(&words.join(" "));
+        }
+        let idx = b.build();
+        let parsed = |text: &str, mode: ExecMode| {
+            QueryRequest::from_query(Query::parse(&idx, text, false).expect("parses")).mode(mode)
+        };
+        // Neither single-processor mode consults the scheduler: no
+        // placement is decided, so none may be logged.
+        for mode in [ExecMode::CpuOnly, ExecMode::GpuOnly] {
+            let req = parsed("\"alpha beta\" OR gamma -delta", mode);
+            assert_eq!(decisions_for(&idx, &req), (0, 0), "{mode:?}");
+        }
+        // Hybrid logs exactly the chain's per-step decisions, however the
+        // conjunction was built...
+        let terms: Vec<TermId> = ["alpha", "beta", "gamma"]
+            .iter()
+            .map(|w| idx.lookup(w).expect("known word"))
+            .collect();
+        let built = decisions_for(&idx, &QueryRequest::new(terms));
+        assert_eq!(built.0, built.1 as u64);
+        assert!(built.0 > 0, "a three-term chain is scheduled");
+        assert_eq!(
+            built,
+            decisions_for(&idx, &parsed("alpha beta gamma", ExecMode::Hybrid))
+        );
+        // ...and the same chain inside a mixed query adds no decision of
+        // its own (the subtracted single term has no pairwise step).
+        assert_eq!(
+            built,
+            decisions_for(&idx, &parsed("alpha beta gamma -delta", ExecMode::Hybrid))
+        );
+    }
+
+    #[test]
+    fn gpu_only_chain_closes_its_window_when_it_empties_early() {
+        // t0 and t1 are disjoint, so the chain t0 -> t1 -> t2 empties
+        // after its first intersection while the long t2's prefetch is
+        // still crossing PCIe.
+        let evens: Vec<u32> = (0..300).map(|i| i * 2).collect();
+        let odds: Vec<u32> = (0..600).map(|i| i * 2 + 1).collect();
+        let long: Vec<u32> = (0..1_000_000).map(|i| i * 7).collect();
+        let other: Vec<u32> = (0..200).map(|i| i * 5).collect();
+        let lists = [evens, odds, long, other];
+        let idx = InvertedIndex::from_docid_lists(&lists, 8_000_000, Codec::EliasFano, 128);
+        for text in ["t0 t1 t2", "t3 OR (t0 t1 t2)"] {
+            let gpu = Gpu::new(DeviceConfig::test_tiny());
+            let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
+            // No list stays resident, so every device byte is per-query.
+            griffin.gpu.set_cache_budget(0);
+            // A caller-held async window: leaving it must not be what
+            // retires the query's own device work.
+            gpu.set_async(true);
+            let start = gpu.now();
+            let out = griffin
+                .search(&idx, text, 10, ExecMode::GpuOnly)
+                .expect("parses");
+            let end = gpu.now();
+            gpu.sync();
+            assert_eq!(gpu.now(), end, "{text}: work left in flight after run");
+            let on_device: VirtualNanos = out
+                .steps
+                .iter()
+                .filter(|s| s.proc == Proc::Gpu)
+                .map(|s| s.time)
+                .sum();
+            assert_eq!(on_device, end - start, "{text}: device span not charged");
+            let sum: VirtualNanos = out.steps.iter().map(|s| s.time).sum();
+            assert_eq!(sum, out.time, "{text}");
+            assert_eq!(gpu.mem_in_use(), 0, "{text}: device memory leaked");
         }
     }
 

@@ -35,7 +35,7 @@ pub use cost::{CostModel, KernelMeasurements};
 pub use engine::{ExecMode, Griffin, GriffinOutput, RecoveryPolicy, Search, StepOp, StepTrace};
 pub use fleet::{merge_topk, FleetInfo, ShardOutcome, ShardStatus, ShardedIndex};
 pub use griffin_cpu::PruneStats;
-pub use plan::{Plan, PlanNode, Planner};
+pub use plan::{PlanNode, Planner};
 pub use query::Query;
 pub use request::{QueryError, QueryRequest};
 pub use rescache::{CachedResult, ResultCache, ResultCacheStats, RESULT_CACHE_LOOKUP};

@@ -1,13 +1,14 @@
-//! The cost-based planner: lowers a [`Query`] AST into a physical plan
-//! DAG with a per-operator processor decision.
+//! The planner: lowers a [`Query`] AST into a physical plan DAG.
 //!
-//! The original engine made per-step CPU/GPU/Split decisions along one
-//! AND-chain. The planner generalizes that to arbitrary operator trees:
-//! every AND-chain of terms becomes a [`PlanNode::Chain`] whose placement
-//! the [`Scheduler`] decides from the chain's two shortest lists (the
-//! same signal the per-step machinery refines at run time), and every
-//! union, difference, and phrase check becomes its own costed operator
-//! node. Set operations run on the host: the device exposes no set-op
+//! Every request, whatever its shape, runs through this DAG and one
+//! executor ([`crate::engine`]). Every AND-chain of terms becomes a
+//! [`PlanNode::Chain`] — a plain term conjunction is a single root chain
+//! — and every union, difference, and phrase check becomes its own
+//! operator node with a cardinality estimate. The plan carries no
+//! placement: the executor applies the request's [`crate::ExecMode`] to
+//! each chain, and under [`crate::ExecMode::Hybrid`] the scheduler
+//! decides CPU, GPU or split per intersection as the chain runs. Set
+//! operations run on the host: the device exposes no set-op
 //! kernels, and for the intermediate sizes the planner estimates, a
 //! device set-op would pay two PCIe round-trips that dwarf the
 //! `~cpu_ns_per_elem` host merge — the same Fig. 7 reasoning that keeps
@@ -34,29 +35,19 @@
 use griffin_index::{InvertedIndex, TermId};
 
 use crate::query::Query;
-use crate::sched::{Decision, DecisionTrace, Scheduler};
 
 /// One operator of the physical plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
-    /// An AND-chain of terms, df-sorted, with the planner's processor
-    /// decision for the whole chain. Under [`crate::ExecMode::Hybrid`]
-    /// the decision seeds the chain's per-step scheduling, which may
-    /// migrate or split individual intersections exactly as the original
-    /// engine did.
-    Chain {
-        terms: Vec<TermId>,
-        place: Decision,
-        est: usize,
-    },
-    /// A phrase: its term chain (placed like [`PlanNode::Chain`])
-    /// followed by the host-side positional adjacency check (the
-    /// positions side-file is host-resident).
-    Phrase {
-        terms: Vec<TermId>,
-        place: Decision,
-        est: usize,
-    },
+    /// An AND-chain of terms, df-sorted. The executor runs it under the
+    /// request's mode: on the host, wholly on the device, or — under
+    /// [`crate::ExecMode::Hybrid`] — through the per-step scheduler,
+    /// which may migrate or split individual intersections.
+    Chain { terms: Vec<TermId>, est: usize },
+    /// A phrase: its term chain (run like [`PlanNode::Chain`]) followed
+    /// by the host-side positional adjacency check (the positions
+    /// side-file is host-resident).
+    Phrase { terms: Vec<TermId>, est: usize },
     /// Intersection of sub-plans (a mixed AND). Children keep AST order;
     /// the set intersection itself runs on the host.
     Intersect { children: Vec<PlanNode>, est: usize },
@@ -86,55 +77,31 @@ impl PlanNode {
     }
 }
 
-/// A lowered query: the operator DAG plus the scheduler traces behind
-/// each chain-placement decision (recorded into telemetry by the engine).
-#[derive(Debug, Clone)]
-pub struct Plan {
-    pub root: PlanNode,
-    pub decisions: Vec<DecisionTrace>,
-}
-
-/// Lowers normalized [`Query`] trees against one index + scheduler pair.
+/// Lowers normalized [`Query`] trees against one index.
 pub struct Planner<'a> {
     pub index: &'a InvertedIndex,
-    pub scheduler: &'a Scheduler,
 }
 
 impl Planner<'_> {
-    /// Plans a normalized query. Cardinality estimates: a term is its
-    /// document frequency; an intersection is its smallest child; a
-    /// union is the clipped sum; a difference is its left child.
-    pub fn plan(&self, q: &Query) -> Plan {
-        let mut decisions = Vec::new();
-        let root = self.lower(q, &mut decisions);
-        Plan { root, decisions }
-    }
-
-    fn lower(&self, q: &Query, decisions: &mut Vec<DecisionTrace>) -> PlanNode {
+    /// Plans a normalized query into its root operator. Cardinality
+    /// estimates: a term is its document frequency; an intersection is
+    /// its smallest child; a union is the clipped sum; a difference is
+    /// its left child.
+    pub fn plan(&self, q: &Query) -> PlanNode {
         match q {
             Query::Nothing => PlanNode::Empty,
-            Query::Term(t) => self.chain(vec![*t], decisions),
+            Query::Term(t) => self.chain(vec![*t]),
             Query::Phrase(ts) => {
                 // The phrase keeps its ORIGINAL term order — the
                 // positional check is order-sensitive; the chain
                 // executors df-sort internally for the intersections.
-                let mut dfs: Vec<usize> = ts.iter().map(|&t| self.index.doc_freq(t)).collect();
-                dfs.sort_unstable();
-                let est = dfs.first().copied().unwrap_or(0);
-                let place = match dfs.get(1) {
-                    Some(&second) => {
-                        let d = self
-                            .scheduler
-                            .decide_traced(est, second, crate::sched::Proc::Cpu);
-                        let chosen = d.chosen;
-                        decisions.push(d);
-                        chosen
-                    }
-                    None => Decision::Cpu,
-                };
+                let est = ts
+                    .iter()
+                    .map(|&t| self.index.doc_freq(t))
+                    .min()
+                    .unwrap_or(0);
                 PlanNode::Phrase {
                     terms: ts.clone(),
-                    place,
                     est,
                 }
             }
@@ -149,10 +116,10 @@ impl Planner<'_> {
                 }
                 let mut nodes = Vec::with_capacity(1 + complex.len());
                 if !terms.is_empty() {
-                    nodes.push(self.chain(terms, decisions));
+                    nodes.push(self.chain(terms));
                 }
                 for c in complex {
-                    nodes.push(self.lower(c, decisions));
+                    nodes.push(self.plan(c));
                 }
                 match nodes.len() {
                     0 => PlanNode::Empty,
@@ -167,8 +134,7 @@ impl Planner<'_> {
                 }
             }
             Query::Or(children) => {
-                let nodes: Vec<PlanNode> =
-                    children.iter().map(|c| self.lower(c, decisions)).collect();
+                let nodes: Vec<PlanNode> = children.iter().map(|c| self.plan(c)).collect();
                 let est = nodes
                     .iter()
                     .map(PlanNode::est)
@@ -180,8 +146,8 @@ impl Planner<'_> {
                 }
             }
             Query::Not(a, b) => {
-                let left = self.lower(a, decisions);
-                let right = self.lower(b, decisions);
+                let left = self.plan(a);
+                let right = self.plan(b);
                 let est = left.est();
                 PlanNode::Difference {
                     left: Box::new(left),
@@ -193,34 +159,16 @@ impl Planner<'_> {
     }
 
     /// Builds a chain node: df-sorts the terms (stable, like the CPU
-    /// engine's own plan), estimates the intersection by its shortest
-    /// list, and asks the scheduler for the chain's starting placement
-    /// from the first pairwise ratio — the same inputs the hybrid
-    /// engine's initial-placement decision uses.
-    fn chain(&self, mut terms: Vec<TermId>, decisions: &mut Vec<DecisionTrace>) -> PlanNode {
-        if terms.is_empty() {
-            return PlanNode::Empty;
-        }
+    /// engine's own plan) and estimates the intersection by its first
+    /// list.
+    fn chain(&self, mut terms: Vec<TermId>) -> PlanNode {
         // scoring_df: the chain order fixes the score fold order, so a
         // shard view must sort by the same global dfs as the unsharded
-        // index. The cost estimates below stay on local list lengths —
-        // they steer placement and latency, never results.
+        // index. The estimate stays on the local list length — it steers
+        // no result.
         terms.sort_by_key(|&t| self.index.scoring_df(t));
         let est = self.index.doc_freq(terms[0]);
-        let place = match terms.get(1) {
-            Some(&second) => {
-                let d = self.scheduler.decide_traced(
-                    est,
-                    self.index.doc_freq(second),
-                    crate::sched::Proc::Cpu,
-                );
-                let chosen = d.chosen;
-                decisions.push(d);
-                chosen
-            }
-            None => Decision::Cpu,
-        };
-        PlanNode::Chain { terms, place, est }
+        PlanNode::Chain { terms, est }
     }
 }
 
@@ -243,45 +191,34 @@ mod tests {
     #[test]
     fn chains_are_df_sorted_and_estimated_by_shortest() {
         let i = idx();
-        let sched = Scheduler::for_block_len(128);
-        let planner = Planner {
-            index: &i,
-            scheduler: &sched,
-        };
+        let planner = Planner { index: &i };
         let q = Query::And(vec![
             Query::Term(tid(&i, 0)),
             Query::Term(tid(&i, 2)),
             Query::Term(tid(&i, 1)),
         ])
         .normalize();
-        let plan = planner.plan(&q);
-        match &plan.root {
-            PlanNode::Chain { terms, est, .. } => {
+        match planner.plan(&q) {
+            PlanNode::Chain { terms, est } => {
                 assert_eq!(terms, &[tid(&i, 2), tid(&i, 1), tid(&i, 0)]);
-                assert_eq!(*est, 2);
+                assert_eq!(est, 2);
             }
             other => panic!("expected a chain, got {other:?}"),
         }
-        assert_eq!(plan.decisions.len(), 1, "one placement decision per chain");
     }
 
     #[test]
     fn mixed_and_keeps_ast_order_after_the_chain() {
         let i = idx();
-        let sched = Scheduler::for_block_len(128);
-        let planner = Planner {
-            index: &i,
-            scheduler: &sched,
-        };
+        let planner = Planner { index: &i };
         let or = Query::Or(vec![Query::Term(tid(&i, 1)), Query::Term(tid(&i, 2))]);
         let q = Query::And(vec![or.clone(), Query::Term(tid(&i, 0))]).normalize();
-        let plan = planner.plan(&q);
-        match &plan.root {
+        match planner.plan(&q) {
             PlanNode::Intersect { children, est } => {
                 assert!(matches!(children[0], PlanNode::Chain { .. }));
                 assert!(matches!(children[1], PlanNode::Union { .. }));
                 // est = min(chain est 4, union est min(3+2, 10) = 5) = 4.
-                assert_eq!(*est, 4);
+                assert_eq!(est, 4);
             }
             other => panic!("expected an intersect, got {other:?}"),
         }
@@ -290,11 +227,7 @@ mod tests {
     #[test]
     fn union_difference_and_phrase_estimates() {
         let i = idx();
-        let sched = Scheduler::for_block_len(128);
-        let planner = Planner {
-            index: &i,
-            scheduler: &sched,
-        };
+        let planner = Planner { index: &i };
         let q = Query::Not(
             Box::new(Query::Or(vec![
                 Query::Term(tid(&i, 0)),
@@ -303,13 +236,12 @@ mod tests {
             Box::new(Query::Phrase(vec![tid(&i, 1), tid(&i, 2)])),
         )
         .normalize();
-        let plan = planner.plan(&q);
-        match &plan.root {
+        match planner.plan(&q) {
             PlanNode::Difference { left, right, est } => {
                 assert_eq!(left.est(), 7, "clipped sum of the union arms");
-                assert_eq!(*est, 7, "difference estimated by its left side");
+                assert_eq!(est, 7, "difference estimated by its left side");
                 match right.as_ref() {
-                    PlanNode::Phrase { terms, est, .. } => {
+                    PlanNode::Phrase { terms, est } => {
                         // Phrase order is preserved (not df-sorted).
                         assert_eq!(terms, &[tid(&i, 1), tid(&i, 2)]);
                         assert_eq!(*est, 2);
@@ -324,11 +256,7 @@ mod tests {
     #[test]
     fn nothing_lowers_to_empty() {
         let i = idx();
-        let sched = Scheduler::for_block_len(128);
-        let planner = Planner {
-            index: &i,
-            scheduler: &sched,
-        };
-        assert_eq!(planner.plan(&Query::Nothing).root, PlanNode::Empty);
+        let planner = Planner { index: &i };
+        assert_eq!(planner.plan(&Query::Nothing), PlanNode::Empty);
     }
 }
